@@ -165,7 +165,7 @@ func BenchmarkSceneMAPEvaluation(b *testing.B) {
 // sparse numbers is the measured end-to-end speedup semi-structured
 // pruning buys on this machine — the claim the whole paper rests on.
 
-// benchForwardPrunedYOLOv5s times Engine.Output on an R-TOSS-3EP-pruned
+// benchForwardPrunedYOLOv5s times Program.Output on an R-TOSS-3EP-pruned
 // YOLOv5s at 64×64 under the given dispatch mode.
 func benchForwardPrunedYOLOv5s(b *testing.B, mode EngineMode) {
 	b.Helper()
@@ -173,7 +173,7 @@ func benchForwardPrunedYOLOv5s(b *testing.B, mode EngineMode) {
 	if _, err := NewRTOSS(3).Prune(m); err != nil {
 		b.Fatal(err)
 	}
-	e, err := NewEngine(m, EngineOptions{Mode: mode})
+	e, err := CompileProgram(m, EngineOptions{Mode: mode})
 	if err != nil {
 		b.Fatal(err)
 	}

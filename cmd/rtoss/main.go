@@ -8,7 +8,7 @@
 //	rtoss forward [flags]     run the real execution engine (-engine=dense|sparse|auto)
 //	rtoss detect [flags]      end-to-end detection: image in, JSON boxes out
 //	rtoss serve [flags]       serve a compiled model over HTTP with micro-batching
-//	rtoss bench [flags]       single vs batched vs served throughput (optionally as JSON)
+//	rtoss bench [flags]       detection-pipeline throughput: ingest, e2e dense vs sparse, served (optionally as JSON)
 //	rtoss eval [flags]        mAP + latency over the synthetic-KITTI set, via any backend
 //	rtoss stream [flags]      streaming eval: deadline-hit-rate + mAP over rendered videos
 //	rtoss route [flags]       consistent-hash failover router over N serve shards
@@ -338,48 +338,26 @@ func serveCmd(args []string) error {
 	return serveGracefully(*addr, mux, hub.Close, srv.Close, reg.Close)
 }
 
-// benchCmd measures single-stream vs batched vs served throughput,
-// then the detection pipeline (postprocess alone, end-to-end image ->
-// boxes dense vs sparse, and the served batched-detect path), and
-// optionally writes either report as JSON (the CI artifact formats:
-// -json emits the PR2 forward bench, -detect-json the PR5 detect
-// bench).
+// benchCmd measures the detection pipeline (ingest, postprocess alone,
+// end-to-end image -> boxes dense vs sparse, and the served
+// batched-detect path) plus the paced streaming scenario, and
+// optionally writes the report as JSON (the BENCH_PR8 CI artifact
+// format).
 func benchCmd(args []string) error {
 	fs := flag.NewFlagSet("bench", flag.ExitOnError)
 	modelName := fs.String("model", "yolov5s", "model to bench (yolov5s|retinanet)")
 	entries := fs.Int("entries", 3, "R-TOSS entry patterns for the sparse variant")
-	res := fs.Int("res", 64, "input resolution (HxW)")
-	batch := fs.Int("batch", 8, "images per batched forward")
 	streams := fs.Int("streams", 8, "concurrent client streams")
 	images := fs.Int("images", 0, "images per scenario (0 = 2*streams)")
-	jsonPath := fs.String("json", "", "also write the forward report to this JSON file")
-	detectStage := fs.Bool("detect", true, "also run the detection-pipeline stage")
-	detectRes := fs.Int("detect-res", 256, "letterbox resolution for the detect stage")
-	detectJSON := fs.String("detect-json", "", "also write the detect report to this JSON file (BENCH_PR8 format)")
-	streamStage := fs.Bool("stream", true, "also run the paced streaming scenario (detect stage only)")
+	detectRes := fs.Int("detect-res", 256, "letterbox resolution")
+	detectJSON := fs.String("detect-json", "", "also write the report to this JSON file (BENCH_PR8 format)")
+	streamStage := fs.Bool("stream", true, "also run the paced streaming scenario")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	arch, err := zooName(*modelName)
 	if err != nil {
 		return err
-	}
-	rep, err := serve.RunBench(serve.BenchConfig{
-		Arch: arch, Entries: *entries, Res: *res,
-		Batch: *batch, Streams: *streams, Images: *images,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Print(rep.Render())
-	if *jsonPath != "" {
-		if err := rep.WriteJSON(*jsonPath); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", *jsonPath)
-	}
-	if !*detectStage {
-		return nil
 	}
 	drep, err := serve.RunDetectBench(serve.DetectBenchConfig{
 		Arch: arch, Entries: *entries, Res: *detectRes,
@@ -415,7 +393,7 @@ func forward(args []string) error {
 	entries := fs.Int("entries", 3, "R-TOSS entry patterns to prune with first (0 = leave dense)")
 	res := fs.Int("res", 64, "input resolution (HxW)")
 	runs := fs.Int("runs", 3, "timed passes per engine (best is reported)")
-	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "goroutines per forward pass (0 = GOMAXPROCS)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -449,7 +427,7 @@ func forward(args []string) error {
 	}
 
 	timeEngine := func(mode rtoss.EngineMode) (float64, *rtoss.Tensor, error) {
-		e, err := rtoss.NewEngine(m, rtoss.EngineOptions{Mode: mode, Workers: *workers})
+		e, err := rtoss.CompileProgram(m, rtoss.EngineOptions{Mode: mode, Workers: *workers})
 		if err != nil {
 			return 0, nil, err
 		}

@@ -15,20 +15,25 @@
 //     automatic dispatch), plus the DAG's topological wavefront levels
 //     and the consumer counts of the activation buffer plan. One
 //     Program safely serves any number of concurrent goroutines.
-//   - Run state is cheap and per-request: each Output/ForwardBatch call
-//     borrows a runState (activation arena + buffer refcounts) from the
-//     Program's sync.Pool, so steady-state serving re-uses activation
-//     buffers across requests instead of re-allocating them.
+//   - Run state is cheap and per-request: every entry point (Forward,
+//     Output, Heads, HeadsBatch, ForwardBatch) is a thin wrapper over
+//     one run core that borrows a runState (activation arena, output
+//     table, buffer refcounts) from the Program's sync.Pool, so
+//     steady-state serving re-uses activation buffers across requests
+//     instead of re-allocating them.
 //
 // Within a run, layers are wavefront-scheduled: the DAG's topological
-// levels run one after another, the layers inside a level concurrently
-// on a bounded worker pool; batched inputs additionally split
-// convolutions across the batch dimension. Output-style runs recycle a
-// layer's output buffer as soon as its last consumer has executed.
+// levels run one after another, the layers inside a level in parallel;
+// a single-layer level instead splits a batched convolution across the
+// batch dimension. Both use the engine's one parallel-for, which runs
+// items on the calling goroutine plus whichever process-wide helper
+// goroutines are idle at that moment (never more than Workers in
+// total), so it never blocks on a busy helper and allocates nothing in
+// steady state. A layer's output buffer is recycled as soon as its last
+// consumer has executed, unless the entry point keeps it.
 //
-// Engine is a legacy alias for Program; New is a legacy alias for
-// Compile. The analytic latency/energy estimation lives in internal/hw;
-// this package is the numeric twin.
+// The analytic latency/energy estimation lives in internal/hw; this
+// package is the numeric twin.
 package engine
 
 import (
@@ -84,7 +89,9 @@ const autoDensityCutoff = 0.75
 type Options struct {
 	// Mode is the kernel-dispatch policy (default ModeAuto).
 	Mode Mode
-	// Workers bounds the per-level worker pool; 0 means GOMAXPROCS.
+	// Workers bounds the goroutines working on one run (the caller plus
+	// idle helpers); 1 runs everything on the caller, 0 means
+	// GOMAXPROCS.
 	Workers int
 	// PatternDict is the mask dictionary pattern-compiled layers are
 	// encoded against. Nil uses the canonical R-TOSS dictionaries
@@ -92,28 +99,11 @@ type Options struct {
 	PatternDict []uint16
 }
 
-// Engine is the legacy name of Program, kept so existing callers (and
-// the public rtoss.Engine alias) keep compiling.
-type Engine = Program
-
-// New compiles a model for execution. It is the legacy name of Compile.
-func New(m *nn.Model, opts Options) (*Engine, error) { return Compile(m, opts) }
-
 // ---------------------------------------------------------------------
 // Package-level convenience API (compile-and-run with defaults).
 
-// Forward compiles the model with default options (auto dispatch,
-// GOMAXPROCS workers) and returns every layer's output tensor, indexed
-// by layer ID.
-func Forward(m *nn.Model, input *tensor.Tensor) ([]*tensor.Tensor, error) {
-	p, err := Compile(m, Options{})
-	if err != nil {
-		return nil, err
-	}
-	return p.Forward(input)
-}
-
-// Output runs Forward and returns the final layer's tensor.
+// Output compiles the model with default options (auto dispatch,
+// GOMAXPROCS workers) and returns the final layer's tensor.
 func Output(m *nn.Model, input *tensor.Tensor) (*tensor.Tensor, error) {
 	p, err := Compile(m, Options{})
 	if err != nil {

@@ -45,7 +45,7 @@ func TestSparseModesMatchDense(t *testing.T) {
 				t.Fatal(err)
 			}
 			in := randInput(rng.New(22), 3, 32, 32)
-			dense, err := New(m, Options{Mode: ModeDense})
+			dense, err := Compile(m, Options{Mode: ModeDense})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -54,7 +54,7 @@ func TestSparseModesMatchDense(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, mode := range []Mode{ModeSparse, ModeAuto} {
-				e, err := New(m, Options{Mode: mode})
+				e, err := Compile(m, Options{Mode: mode})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -75,7 +75,7 @@ func TestSparseModesMatchDense(t *testing.T) {
 // for pruned layers.
 func TestAutoDispatchUsesRecordedStructure(t *testing.T) {
 	m := tinyDetector(t, 31)
-	unpruned, err := New(m, Options{})
+	unpruned, err := Compile(m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestAutoDispatchUsesRecordedStructure(t *testing.T) {
 	if recorded == 0 {
 		t.Fatal("pruning recorded no per-layer structure")
 	}
-	pruned, err := New(m, Options{})
+	pruned, err := Compile(m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,14 +108,14 @@ func TestAutoDispatchUsesRecordedStructure(t *testing.T) {
 }
 
 // TestConcurrentForward hammers one shared engine from many goroutines
-// (and with a multi-worker pool) — the go test -race target for the
+// (and with Workers: 4) — the go test -race target for the
 // wavefront scheduler and the per-run arenas.
 func TestConcurrentForward(t *testing.T) {
 	m := tinyDetector(t, 41)
 	if _, err := core.NewVariant(2).Prune(m); err != nil {
 		t.Fatal(err)
 	}
-	e, err := New(m, Options{Workers: 4})
+	e, err := Compile(m, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,8 +154,8 @@ func TestConcurrentForward(t *testing.T) {
 	}
 }
 
-// TestConcurrentErrorPropagates checks that a failing layer inside the
-// worker pool surfaces as an error, not a crash or a hang.
+// TestConcurrentErrorPropagates checks that a failing layer in a
+// multi-worker Program surfaces as an error, not a crash or a hang.
 func TestConcurrentErrorPropagates(t *testing.T) {
 	m := tinyDetector(t, 47)
 	// Corrupt a mid-network conv so its kernel panics on shape checks.
@@ -165,7 +165,7 @@ func TestConcurrentErrorPropagates(t *testing.T) {
 			break
 		}
 	}
-	e, err := New(m, Options{Mode: ModeDense, Workers: 4})
+	e, err := Compile(m, Options{Mode: ModeDense, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestOutputMatchesForward(t *testing.T) {
 	if _, err := core.NewVariant(3).Prune(m); err != nil {
 		t.Fatal(err)
 	}
-	e, err := New(m, Options{})
+	e, err := Compile(m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

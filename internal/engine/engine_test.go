@@ -37,8 +37,11 @@ func randInput(r *rng.RNG, c, h, w int) *tensor.Tensor {
 
 func TestForwardShapes(t *testing.T) {
 	m := tinyDetector(t, 1)
-	in := randInput(rng.New(2), 3, 32, 32)
-	outs, err := Forward(m, in)
+	p, err := Compile(m, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	outs, err := p.Forward(randInput(rng.New(2), 3, 32, 32))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,11 +77,14 @@ func TestForwardDeterministic(t *testing.T) {
 }
 
 func TestForwardRejectsBadInput(t *testing.T) {
-	m := tinyDetector(t, 1)
-	if _, err := Forward(m, tensor.New(1, 5, 32, 32)); err == nil {
+	p, err := Compile(tinyDetector(t, 1), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Forward(tensor.New(1, 5, 32, 32)); err == nil {
 		t.Fatal("expected channel mismatch error")
 	}
-	if _, err := Forward(m, tensor.New(3, 32, 32)); err == nil {
+	if _, err := p.Forward(tensor.New(3, 32, 32)); err == nil {
 		t.Fatal("expected rank error")
 	}
 }

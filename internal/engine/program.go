@@ -3,6 +3,7 @@ package engine
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"rtoss/internal/nn"
 	"rtoss/internal/sparse"
@@ -24,6 +25,7 @@ type Program struct {
 	consumers []int32 // times each layer's output is consumed as an input
 	compiled  []*sparse.CompiledConv
 	headIDs   []int // inputs of the model's Detect sink (nil if none)
+	all       []int // every layer ID: Forward's keep-list
 
 	// runs pools per-request state (activation arena + refcounts) so
 	// steady-state serving reuses buffers across requests.
@@ -61,6 +63,7 @@ func Compile(m *nn.Model, opts Options) (*Program, error) {
 		p.workers = runtime.GOMAXPROCS(0)
 	}
 	for _, id := range order {
+		p.all = append(p.all, id)
 		p.levels[level[id]] = append(p.levels[level[id]], id)
 		for _, pr := range m.Layers[id].Inputs {
 			p.consumers[pr]++
@@ -95,7 +98,7 @@ func (p *Program) Mode() Mode { return p.mode }
 // read-only; mutating weights invalidates the compiled kernels.
 func (p *Program) Model() *nn.Model { return p.model }
 
-// Workers returns the per-level worker pool bound.
+// Workers returns the bound on goroutines working on one run.
 func (p *Program) Workers() int { return p.workers }
 
 // MemoryBytes estimates the resident footprint of the Program: the
@@ -149,22 +152,42 @@ func (p *Program) SparseLayers() (patternLayers, csrLayers int) {
 	return patternLayers, csrLayers
 }
 
-// runState is the poolable per-request execution state for runs that
-// recycle activation buffers: the arena the buffers come from plus the
-// refcount/ownership planes. The arena outlives individual runs (that
-// is the point of pooling — buffers warm up once), while the planes are
-// reset on acquire.
+// runState is the poolable per-request execution state: the arena the
+// activation buffers come from, the output table, the refcount and
+// ownership planes, and the forEach bookkeeping. The arena outlives
+// individual runs (that is the point of pooling — buffers warm up
+// once), while the planes are reset on acquire.
 type runState struct {
+	p     *Program
 	arena *tensor.Arena
+	input *tensor.Tensor
+	outs  []*tensor.Tensor
+	// refs counts the remaining consumers of each layer's output, owned
+	// marks outputs whose buffers came from the arena, and alias maps
+	// pass-through outputs (Detect) to the layer that owns the buffer.
 	refs  []int32
 	owned []bool
 	alias []int32
+	level []int // the wavefront level being executed
+
+	// forEach state: items are claimed from next by the caller and
+	// every helper it handed rs to; wg counts those helpers, and the
+	// first error or panic is kept by whoever sets failed.
+	body     func(*runState, int) error
+	items    int32
+	next     atomic.Int32
+	wg       sync.WaitGroup
+	failed   atomic.Bool
+	err      error
+	panicked any
 }
 
 func (p *Program) newRunState() *runState {
 	n := len(p.model.Layers)
 	return &runState{
+		p:     p,
 		arena: tensor.NewArena(),
+		outs:  make([]*tensor.Tensor, n),
 		refs:  make([]int32, n),
 		owned: make([]bool, n),
 		alias: make([]int32, n),
@@ -189,5 +212,10 @@ func (p *Program) acquireRun(keep []int) *runState {
 	return rs
 }
 
-// releaseRun returns per-request state (and its warm arena) to the pool.
-func (p *Program) releaseRun(rs *runState) { p.runs.Put(rs) }
+// releaseRun returns per-request state (and its warm arena) to the
+// pool, dropping its references to the caller's tensors.
+func (p *Program) releaseRun(rs *runState) {
+	clear(rs.outs)
+	rs.input = nil
+	p.runs.Put(rs)
+}

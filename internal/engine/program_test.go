@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -258,5 +260,84 @@ func TestConcurrentThroughputScales(t *testing.T) {
 		single, streams, multi, multi/single)
 	if multi < 1.3*single {
 		t.Errorf("8 shared streams reached only %.2fx single-stream throughput", multi/single)
+	}
+}
+
+// TestKernelPanicNamesLayerAndRecovers checks both parallel-for call
+// sites: a kernel panic in a wide wavefront level and one inside a
+// batch-split convolution must each come back as an error naming the
+// layer, and the pooled run state must stay usable — the next run on
+// the same Program succeeds.
+func TestKernelPanicNamesLayerAndRecovers(t *testing.T) {
+	m := tinyDetector(t, 111)
+	p, err := Compile(m, Options{Mode: ModeDense, Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wide, single *nn.Layer // a conv sharing its level, and one alone in it
+	for _, lvl := range p.levels {
+		for _, id := range lvl {
+			if l := m.Layers[id]; l.Kind == nn.Conv {
+				if len(lvl) > 1 && wide == nil {
+					wide = l
+				} else if len(lvl) == 1 && single == nil {
+					single = l
+				}
+			}
+		}
+	}
+	if wide == nil || single == nil {
+		t.Fatal("tiny detector lacks a conv in a wide level or in a single-layer level")
+	}
+	r := rng.New(112)
+	inputs := []*tensor.Tensor{randInput(r, 3, 32, 32), randInput(r, 3, 32, 32), randInput(r, 3, 32, 32)}
+	cases := []struct {
+		name  string
+		layer *nn.Layer
+		run   func() error
+	}{
+		{"level", wide, func() error { _, err := p.Output(inputs[0]); return err }},
+		{"batch-split", single, func() error { _, err := p.ForwardBatch(inputs); return err }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			good := c.layer.Weight
+			c.layer.Weight = tensor.New(c.layer.OutC, c.layer.InC/c.layer.Group+1, c.layer.KH, c.layer.KW)
+			err := c.run()
+			c.layer.Weight = good
+			if err == nil {
+				t.Fatalf("corrupted layer %q ran without error", c.layer.Name)
+			}
+			if !strings.Contains(err.Error(), fmt.Sprintf("layer %q", c.layer.Name)) {
+				t.Fatalf("error %q does not name layer %q", err, c.layer.Name)
+			}
+			if err := c.run(); err != nil {
+				t.Fatalf("run after a recovered panic failed: %v", err)
+			}
+		})
+	}
+}
+
+// TestProgramsStartNoGoroutines compiles, runs and drops many Programs:
+// the engine's helpers are shared by the whole process, so the
+// goroutine count stays bounded by a constant instead of growing with
+// the number of Programs.
+func TestProgramsStartNoGoroutines(t *testing.T) {
+	m := tinyDetector(t, 121)
+	in := randInput(rng.New(122), 3, 32, 32)
+	before := runtime.NumGoroutine()
+	for i := 0; i < 50; i++ {
+		p, err := Compile(m, Options{Workers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.ForwardBatch([]*tensor.Tensor{in, in}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The one-per-CPU helpers may have been started here, if no earlier
+	// test started them.
+	if after, limit := runtime.NumGoroutine(), before+runtime.NumCPU(); after > limit {
+		t.Fatalf("%d goroutines after 50 Programs, want at most %d", after, limit)
 	}
 }

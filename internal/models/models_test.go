@@ -256,3 +256,32 @@ func TestSharedCacheHandsOutOneInstance(t *testing.T) {
 		t.Fatal("mutating a clone corrupted the shared instance")
 	}
 }
+
+func TestMeasuredLineupsShareInstances(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping paper-scale model construction in -short mode")
+	}
+	// Table2Models and Zoo only feed measurements, so repeated calls must
+	// hand out the memoised instances instead of copying their weights.
+	a, b := Table2Models(), Table2Models()
+	for i := range a {
+		if a[i] != b[i] {
+			t.Errorf("Table2Models row %d (%s): distinct instances across calls", i, a[i].Name)
+		}
+		if a[i].Name != table2[i].name {
+			t.Errorf("Table2Models row %d is %s, want %s", i, a[i].Name, table2[i].name)
+		}
+	}
+	if a[0] != YOLOv5sShared(KITTIClasses) {
+		t.Error("Table2Models YOLOv5s is not the Shared instance")
+	}
+	za, zb := Zoo(), Zoo()
+	for i := range za {
+		if za[i].Model != zb[i].Model || za[i].PerRegion != zb[i].PerRegion {
+			t.Errorf("%s: Zoo built new instances on the second call", Table1Names[i])
+		}
+	}
+	if za[0].Model != za[0].PerRegion {
+		t.Error("R-CNN backbone and per-region net should be one shared instance")
+	}
+}

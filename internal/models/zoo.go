@@ -415,6 +415,12 @@ func buildRoIHead(classes int) *nn.Model {
 // metrics attached. Reference mAP/fps are the values quoted in Table 1
 // (heterogeneous sources, as in the paper); latency is re-derived on our
 // analytic platforms.
+//
+// The lineup is only ever measured (MACs, parameters, analytic cost),
+// so its models are the shared memoised instances, not clones: a call
+// costs no weight copies, and the same network appearing twice (R-CNN's
+// backbone and per-region net) is one instance. Do not mutate them;
+// see Shared for the contract.
 func Zoo() []*Detector {
 	return []*Detector{
 		{
@@ -438,27 +444,40 @@ func Zoo() []*Detector {
 			PerRegion: roiHead(20),
 			RefMAP:    78.9, RefFPS: 7,
 		},
-		{Model: RetinaNet(COCOClasses), Stage: "single-stage", RefMAP: 61.1, RefFPS: 90},
-		{Model: YOLOv4(COCOClasses), Stage: "single-stage", RefMAP: 65.7, RefFPS: 62},
-		{Model: YOLOv5s(COCOClasses), Stage: "single-stage", RefMAP: 56.4, RefFPS: 140},
+		{Model: RetinaNetShared(COCOClasses), Stage: "single-stage", RefMAP: 61.1, RefFPS: 90},
+		{Model: yolov4Shared(COCOClasses), Stage: "single-stage", RefMAP: 65.7, RefFPS: 62},
+		{Model: YOLOv5sShared(COCOClasses), Stage: "single-stage", RefMAP: 56.4, RefFPS: 140},
 	}
 }
 
 // Table1Names maps zoo entries to the display names used in Table 1.
 var Table1Names = []string{"R-CNN", "Fast R-CNN", "Faster R-CNN", "RetinaNet", "YOLOv4", "YOLOv5"}
 
+// table2 lists the Table 2 builders in the paper's row order, keyed by
+// the same cache names as the per-model constructors.
+var table2 = []struct {
+	name  string
+	build func(classes int) *nn.Model
+}{
+	{"YOLOv5s", buildYOLOv5s},
+	{"YOLOXs", buildYOLOXs},
+	{"RetinaNet", buildRetinaNet},
+	{"YOLOv7", buildYOLOv7},
+	{"YOLOR", buildYOLOR},
+	{"DETR", buildDETR},
+}
+
 // Table2Models returns the six detectors of Table 2 (model size vs
 // execution time on Jetson TX2), in the paper's row order, built with
-// KITTI classes.
+// KITTI classes. Like Zoo, the lineup is only ever measured, so these
+// are the shared memoised instances, not copies. Do not mutate them;
+// prune a copy from the per-model constructor instead (see Shared).
 func Table2Models() []*nn.Model {
-	return []*nn.Model{
-		YOLOv5s(KITTIClasses),
-		YOLOXs(KITTIClasses),
-		RetinaNet(KITTIClasses),
-		YOLOv7(KITTIClasses),
-		YOLOR(KITTIClasses),
-		DETR(KITTIClasses),
+	ms := make([]*nn.Model, len(table2))
+	for i, e := range table2 {
+		ms[i] = sharedCached(e.name, KITTIClasses, func() *nn.Model { return e.build(KITTIClasses) })
 	}
+	return ms
 }
 
 // SortedModuleNames returns the distinct module tags of a model sorted
@@ -503,14 +522,21 @@ func YOLOv4(classes int) *nn.Model {
 	return cached("YOLOv4", classes, func() *nn.Model { return buildYOLOv4(classes) })
 }
 
+func yolov4Shared(classes int) *nn.Model {
+	return sharedCached("YOLOv4", classes, func() *nn.Model { return buildYOLOv4(classes) })
+}
+
+// The two-stage networks below exist only for the zoo, so they are
+// only ever handed out shared.
+
 func vgg16Features(name string, h, w int) *nn.Model {
-	return cached("vgg16/"+name, h*10000+w, func() *nn.Model { return buildVGG16Features(name, h, w) })
+	return sharedCached("vgg16/"+name, h*10000+w, func() *nn.Model { return buildVGG16Features(name, h, w) })
 }
 
 func alexNet(classes int) *nn.Model {
-	return cached("alexnet", classes, func() *nn.Model { return buildAlexNet(classes) })
+	return sharedCached("alexnet", classes, func() *nn.Model { return buildAlexNet(classes) })
 }
 
 func roiHead(classes int) *nn.Model {
-	return cached("roihead", classes, func() *nn.Model { return buildRoIHead(classes) })
+	return sharedCached("roihead", classes, func() *nn.Model { return buildRoIHead(classes) })
 }

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
 	"testing"
 
 	"rtoss/internal/detect"
@@ -15,11 +17,22 @@ import (
 // handful of objects per request — the request/response pair, the
 // channel, the [1,C,H,W] reshape header and the result — so this test
 // bounds the count rather than forcing it to zero. The image decode,
-// letterbox canvas and head tensors all come from pools/arenas now, so
-// the bound is tight (~25 allocs/op measured on a 48x24 PPM at 32x32
-// resolution); a pooled buffer escaping its pool or a per-candidate
-// allocation sneaking back into the executor blows straight through it.
+// letterbox canvas and head tensors all come from pools/arenas, and the
+// engine's scheduler allocates nothing per run, so the bound is tight
+// (~30 allocs/op measured on a 48x24 PPM at 32x32 resolution); a pooled
+// buffer escaping its pool or a per-candidate allocation sneaking back
+// into the executor blows straight through it. The budget must hold at
+// every core count, so it is checked at GOMAXPROCS 1, 2 and 4.
 func TestServerDetectAllocBudget(t *testing.T) {
+	for _, procs := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			serverDetectAllocs(t)
+		})
+	}
+}
+
+func serverDetectAllocs(t *testing.T) {
 	p := tinyProgram(t)
 	s := NewServer(p, Config{})
 	defer s.Close()

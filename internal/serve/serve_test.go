@@ -7,7 +7,6 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"sync"
 	"testing"
 	"time"
@@ -373,46 +372,4 @@ func TestHTTPHandler(t *testing.T) {
 	if stats["requests"].(float64) < 2 {
 		t.Errorf("stats requests = %v, want >= 2", stats["requests"])
 	}
-}
-
-// TestRunBench smoke-tests the benchmark harness on the smallest
-// possible workload (it powers both `rtoss bench` and the CI artifact).
-func TestRunBench(t *testing.T) {
-	if testing.Short() {
-		t.Skip("bench harness runs zoo-scale models; skipped in -short")
-	}
-	rep, err := RunBench(BenchConfig{Images: 4, Streams: 2, Batch: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Results) != 5 {
-		t.Fatalf("expected 5 scenarios, got %d", len(rep.Results))
-	}
-	for _, r := range rep.Results {
-		if r.ImagesPerSec <= 0 {
-			t.Errorf("%s/%s throughput %.2f", r.Name, r.Mode, r.ImagesPerSec)
-		}
-	}
-	if rep.Render() == "" {
-		t.Error("empty render")
-	}
-}
-
-// TestEmitBenchJSON writes the CI benchmark artifact when
-// RTOSS_BENCH_JSON names the output path. CI invokes exactly this test
-// (go test -run TestEmitBenchJSON ./internal/serve/) so the artifact is
-// produced with the library's own methodology.
-func TestEmitBenchJSON(t *testing.T) {
-	path := os.Getenv("RTOSS_BENCH_JSON")
-	if path == "" {
-		t.Skip("set RTOSS_BENCH_JSON=<path> to emit the benchmark artifact")
-	}
-	rep, err := RunBench(BenchConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rep.WriteJSON(path); err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + rep.Render())
 }

@@ -111,14 +111,17 @@ type Summary struct {
 }
 
 func (c *counters) summary() Summary {
+	// Outcomes are loaded before frames_in: a frame is counted in before
+	// it can resolve, so this order keeps a snapshot taken under load
+	// from showing more outcomes than pushed frames.
 	s := Summary{
-		FramesIn:        c.framesIn.Load(),
 		FramesServed:    c.framesServed.Load(),
 		DroppedStale:    c.droppedStale.Load(),
 		DroppedDeadline: c.droppedDeadline.Load(),
 		Errors:          c.errored.Load(),
 		OnTime:          c.onTime.Load(),
 	}
+	s.FramesIn = c.framesIn.Load()
 	// Hit rate counts every pushed frame: a dropped frame is a missed
 	// deadline from the stream's point of view.
 	if s.FramesIn > 0 {
@@ -307,15 +310,18 @@ func (s *Session) Push(img []byte) error {
 			h.putBuf(buf)
 			return ErrHubClosed
 		}
+		// Counted before the pump can see the frame, and taken back if
+		// the mailbox refuses it, so frames_in never trails the frame's
+		// outcome and equals the sum of outcomes once all resolve.
+		s.stats.framesIn.Add(1)
+		h.total.framesIn.Add(1)
 		select {
 		case s.mail <- f:
-			// Counted only once accepted, so frames_in always equals the
-			// sum of resolved outcomes.
-			s.stats.framesIn.Add(1)
-			h.total.framesIn.Add(1)
 			s.mu.Unlock()
 			return nil
 		default:
+			s.stats.framesIn.Add(^uint64(0))
+			h.total.framesIn.Add(^uint64(0))
 		}
 		// Mailbox full: evict the stale frame and retry. The eviction
 		// may race with the pump taking the frame to serve — either way

@@ -217,36 +217,38 @@ func MaxPool2D(input *Tensor, kernel, stride, pad int) *Tensor {
 
 // MaxPool2DInto is MaxPool2D writing into a caller-provided dst of
 // shape [N, C, OH, OW]; every element is overwritten.
+//
+//rtoss:noalloc
 func MaxPool2DInto(out, input *Tensor, kernel, stride, pad int) {
 	n, c, h, w := input.Dim(0), input.Dim(1), input.Dim(2), input.Dim(3)
 	oh := ConvOut(h, kernel, stride, pad)
 	ow := ConvOut(w, kernel, stride, pad)
 	checkConvDst(out, n, c, oh, ow)
-	for b := 0; b < n; b++ {
-		for ic := 0; ic < c; ic++ {
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					first := true
-					var m float32
-					for ky := 0; ky < kernel; ky++ {
-						iy := oy*stride - pad + ky
-						if iy < 0 || iy >= h {
+	for p := 0; p < n*c; p++ {
+		inPlane := input.Data[p*h*w : (p+1)*h*w]
+		outPlane := out.Data[p*oh*ow : (p+1)*oh*ow]
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				first := true
+				var m float32
+				for ky := 0; ky < kernel; ky++ {
+					iy := oy*stride - pad + ky
+					if iy < 0 || iy >= h {
+						continue
+					}
+					row := inPlane[iy*w : (iy+1)*w]
+					for kx := 0; kx < kernel; kx++ {
+						ix := ox*stride - pad + kx
+						if ix < 0 || ix >= w {
 							continue
 						}
-						for kx := 0; kx < kernel; kx++ {
-							ix := ox*stride - pad + kx
-							if ix < 0 || ix >= w {
-								continue
-							}
-							v := input.At(b, ic, iy, ix)
-							if first || v > m {
-								m = v
-								first = false
-							}
+						if v := row[ix]; first || v > m {
+							m = v
+							first = false
 						}
 					}
-					out.Set(m, b, ic, oy, ox)
 				}
+				outPlane[oy*ow+ox] = m
 			}
 		}
 	}

@@ -312,6 +312,46 @@ func TestMaxPool2DPadIgnoresBorder(t *testing.T) {
 	}
 }
 
+// TestMaxPool2DIntoZeroAlloc pins the pooling kernel's zero-alloc
+// contract on a 4-D input (the SPPF block runs three 5x5 pools per
+// forward) and checks it against a straightforward At-indexed
+// reference, including the padded border.
+func TestMaxPool2DIntoZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race allocates internally; zero-alloc is only meaningful without it")
+	}
+	r := rng.New(11)
+	in := New(2, 3, 9, 7)
+	for i := range in.Data {
+		in.Data[i] = float32(r.Range(-1, 1))
+	}
+	const k, stride, pad = 5, 1, 2
+	out := New(2, 3, ConvOut(9, k, stride, pad), ConvOut(7, k, stride, pad))
+	MaxPool2DInto(out, in, k, stride, pad)
+	for b := 0; b < 2; b++ {
+		for c := 0; c < 3; c++ {
+			for oy := 0; oy < out.Dim(2); oy++ {
+				for ox := 0; ox < out.Dim(3); ox++ {
+					m := float32(math.Inf(-1))
+					for iy := oy - pad; iy < oy-pad+k; iy++ {
+						for ix := ox - pad; ix < ox-pad+k; ix++ {
+							if iy >= 0 && iy < 9 && ix >= 0 && ix < 7 && in.At(b, c, iy, ix) > m {
+								m = in.At(b, c, iy, ix)
+							}
+						}
+					}
+					if got := out.At(b, c, oy, ox); got != m {
+						t.Fatalf("out[%d,%d,%d,%d] = %v, want %v", b, c, oy, ox, got, m)
+					}
+				}
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, func() { MaxPool2DInto(out, in, k, stride, pad) }); allocs != 0 {
+		t.Fatalf("MaxPool2DInto allocates %.1f times per call, want 0", allocs)
+	}
+}
+
 func TestUpsampleNearest2x(t *testing.T) {
 	in := FromSlice([]float32{1, 2, 3, 4}, 1, 1, 2, 2)
 	out := UpsampleNearest2x(in)

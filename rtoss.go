@@ -15,8 +15,8 @@
 //     latency and energy, compressed weight formats (Encode), an
 //     information-retention accuracy surrogate (Assess), and a
 //     synthetic-KITTI detection pipeline with a real mAP evaluator;
-//   - a sparsity-aware concurrent execution engine (NewEngine) that
-//     turns pattern sparsity into measured wall-clock speedups;
+//   - a sparsity-aware concurrent execution engine (CompileProgram)
+//     that turns pattern sparsity into measured wall-clock speedups;
 //   - an end-to-end detection pipeline (NewDetector): image decoding
 //     (DecodeImage), letterbox preprocessing, head decoding and NMS,
 //     with per-stage latency reporting;
@@ -28,8 +28,8 @@
 //
 // # Engine modes
 //
-// NewEngine compiles a model for real execution in one of three kernel
-// dispatch modes:
+// CompileProgram compiles a model for real execution in one of three
+// kernel dispatch modes:
 //
 //   - EngineDense runs every layer with the dense convolution kernels,
 //     whatever the weights look like — the baseline the paper argues
@@ -44,20 +44,20 @@
 //     measured weight density, so unpruned models pay no indirection.
 //
 // Layers execute wavefront-parallel over the model DAG's topological
-// levels on a bounded worker pool, and Engine.Output recycles
+// levels, on the calling goroutine plus whichever helpers are idle (at
+// most EngineOptions.Workers in total), and Program.Output recycles
 // activation buffers through a per-run arena.
 //
 // # Compile once, run many
 //
-// The engine is split into an immutable Program (CompileProgram; Engine
-// is its legacy alias) and cheap pooled per-request run state: one
-// Program safely serves any number of concurrent goroutines, and
-// Program.ForwardBatch runs a whole batch of images through one
-// forward pass. The serving subsystem builds on that split:
-// NewServeRegistry caches one Program per (architecture, variant, mode)
-// key, and NewServer coalesces concurrent requests into micro-batches
-// with bounded queueing and latency/throughput stats (see `rtoss serve`
-// and `rtoss bench`).
+// The engine is split into an immutable Program (CompileProgram) and
+// cheap pooled per-request run state: one Program safely serves any
+// number of concurrent goroutines, and Program.ForwardBatch runs a
+// whole batch of images through one forward pass. The serving
+// subsystem builds on that split: NewServeRegistry caches one Program
+// per (architecture, variant, mode) key, and NewServer coalesces
+// concurrent requests into micro-batches with bounded queueing and
+// latency/throughput stats (see `rtoss serve`).
 //
 // # Detection pipeline
 //
@@ -175,7 +175,9 @@ func NewYOLOv5s() *Model { return models.YOLOv5s(models.KITTIClasses) }
 // with KITTI classes).
 func NewRetinaNet() *Model { return models.RetinaNet(models.KITTIClasses) }
 
-// Table2Models returns the six detectors of the paper's Table 2.
+// Table2Models returns the six detectors of the paper's Table 2. They
+// are shared read-only instances: clone one (Model.Clone) before
+// pruning it.
 func Table2Models() []*Model { return models.Table2Models() }
 
 // NewRTOSS returns the R-TOSS pruner with the given entry count
@@ -216,10 +218,7 @@ func Assess(orig, pruned *Model, res *Result) Quality {
 // one pass.
 type Program = engine.Program
 
-// Engine is the legacy name of Program.
-type Engine = engine.Engine
-
-// EngineOptions configures CompileProgram / NewEngine.
+// EngineOptions configures CompileProgram.
 type EngineOptions = engine.Options
 
 // EngineMode selects the engine's kernel-dispatch policy.
@@ -238,9 +237,6 @@ func CompileProgram(m *Model, opts EngineOptions) (*Program, error) {
 	return engine.Compile(m, opts)
 }
 
-// NewEngine is the legacy name of CompileProgram.
-func NewEngine(m *Model, opts EngineOptions) (*Engine, error) { return engine.New(m, opts) }
-
 // ---------------------------------------------------------------------
 // Serving subsystem (micro-batching inference over shared Programs).
 
@@ -255,10 +251,6 @@ type (
 	ServeStats = serve.Stats
 	// Server coalesces concurrent requests into batched forwards.
 	Server = serve.Server
-	// BenchConfig parameterises RunServeBench.
-	BenchConfig = serve.BenchConfig
-	// BenchReport is a serving benchmark report (the BENCH JSON format).
-	BenchReport = serve.BenchReport
 	// DetectBenchConfig parameterises RunDetectBench.
 	DetectBenchConfig = serve.DetectBenchConfig
 	// DetectBenchReport is a detection benchmark report (the BENCH_PR8
@@ -273,17 +265,12 @@ func NewServeRegistry() *ServeRegistry { return serve.NewRegistry() }
 // Program; see ServeConfig for the knobs.
 func NewServer(prog *Program, cfg ServeConfig) *Server { return serve.NewServer(prog, cfg) }
 
-// RunServeBench measures single-stream vs batched vs served throughput
-// with the same harness as `rtoss bench` and the CI artifact.
-func RunServeBench(cfg BenchConfig) (*BenchReport, error) { return serve.RunBench(cfg) }
-
 // RunDetectBench measures the detection pipeline: the pooled ingest
 // stages (per-format decode and letterbox, with steady-state allocs
 // per image), the allocation-free postprocess stage alone, end-to-end
 // image -> boxes under dense vs sparse kernels, and concurrent
 // encoded-image streams through the batched Server.Detect path — the
-// same harness as `rtoss bench`'s detect stage and the BENCH_PR8.json
-// CI artifact.
+// same harness as `rtoss bench` and the BENCH_PR8.json CI artifact.
 func RunDetectBench(cfg DetectBenchConfig) (*DetectBenchReport, error) {
 	return serve.RunDetectBench(cfg)
 }

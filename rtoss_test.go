@@ -128,7 +128,7 @@ func TestPublicEngineModes(t *testing.T) {
 	for i := range input.Data {
 		input.Data[i] = float32(i%17)/17 - 0.5
 	}
-	dense, err := NewEngine(m, EngineOptions{Mode: EngineDense})
+	dense, err := CompileProgram(m, EngineOptions{Mode: EngineDense})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestPublicEngineModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sparse, err := NewEngine(m, EngineOptions{Mode: EngineSparse})
+	sparse, err := CompileProgram(m, EngineOptions{Mode: EngineSparse})
 	if err != nil {
 		t.Fatal(err)
 	}
